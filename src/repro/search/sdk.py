@@ -51,10 +51,12 @@ def sdk_cycles_for(layer: ConvLayer, array: PIMArray,
                    d: int) -> Optional[CycleBreakdown]:
     """Cycle breakdown of the SDK mapping with duplication ``d x d``.
 
-    Returns ``None`` when the window does not fit the IFM.
+    Returns ``None`` when the window does not fit the IFM, or when
+    ``d > 1`` on a strided layer: the duplicated window's stride-1
+    count (eq. 3) does not apply there, so SDK keeps im2col.
     """
     window = sdk_window_for_duplication(layer, d)
-    if not window.fits_ifm(layer):
+    if not window.fits_ifm(layer) or (d > 1 and layer.stride != 1):
         return None
     ar = ceil_div(window.area * layer.in_channels, array.rows)
     ac = ceil_div(layer.out_channels * d * d, array.cols)

@@ -2,30 +2,19 @@
 
 :class:`MappingServer` accepts keep-alive JSON connections on an
 ``asyncio.start_server`` socket, parses minimal HTTP/1.1 by hand, and
-dispatches every CPU-bound planning call to a
-``ProcessPoolExecutor`` worker tier (:mod:`repro.server.worker`) so
-the event loop never blocks on lattice math.  Workers share one
-``flock``-guarded :class:`~repro.runtime.store.SolutionStore` as the
-fleet-wide warm L2; the server process itself keeps a small LRU
+sends every CPU-bound planning call to an idle one of N spawned
+worker processes (:mod:`repro.server.worker`) over that worker's own
+pipe pair, so the event loop never blocks on lattice math.  Workers
+share one ``flock``-guarded :class:`~repro.runtime.store.SolutionStore`
+as the fleet-wide warm L2; the server process keeps a small LRU
 *response memo* over canonical request bodies, so repeat traffic is
-answered without a process hop at all.
-
-Error contract (see ``docs/serving.md``): worker results carry their
-own taxonomy-mapped status (400 unknown scheme / bad envelope, 422
-infeasible, 504 deadline with best-so-far partials, 503 transient);
-a crashed worker process (``BrokenProcessPool``) is a 503 with
-``type: "WorkerCrashed"`` and the pool is rebuilt before the next
-request.  Endpoints:
-
-========================  =====================================
-``GET  /v1/healthz``      liveness + uptime + pool shape
-``GET  /v1/stats``        server counters + one worker's engine stats
-``POST /v1/map``          one MappingRequest envelope
-``POST /v1/map_batch``    a BatchRequest envelope
-``POST /v1/network_sweep``  whole-network cycles over many arrays
-``POST /v1/chip_pareto``  cells/energy/latency frontier
-``POST /v1/_crash_worker``  kill one worker (``fault_injection=True``)
-========================  =====================================
+answered without a process hop at all.  Worker results carry their own
+taxonomy-mapped status; a worker that dies mid-request (EOF on its
+reply pipe) is a 503 ``WorkerCrashed`` and only that worker is
+respawned (the full table is in ``docs/serving.md``).  Endpoints:
+``GET /v1/healthz`` and ``/v1/stats``; ``POST /v1/map``,
+``/v1/map_batch``, ``/v1/network_sweep`` and ``/v1/chip_pareto``; and
+``POST /v1/_crash_worker``, routed only with ``fault_injection=True``.
 """
 
 from __future__ import annotations
@@ -33,14 +22,12 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import multiprocessing
+import signal
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Optional, Tuple
-
-import multiprocessing
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.types import ConfigurationError
 from . import worker
@@ -52,6 +39,9 @@ __all__ = ["MappingServer", "ServerThread", "serve"]
 #: the event loop's memory.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: ``(status, payload, preserialized body)`` — one request's answer.
+_Answer = Tuple[int, Optional[Dict[str, Any]], Optional[bytes]]
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 408: "Request Timeout",
@@ -113,8 +103,62 @@ class _ResponseMemo:
             return len(self._data)
 
 
+class _Channel:
+    """One spawned worker process and its request/reply pipe pair.
+
+    Spawned, not forked: an asyncio parent with running threads must
+    not fork.  The parent closes the child's pipe ends, so a dead child
+    reads as EOF here and a dead parent as EOF in the child.
+    """
+
+    def __init__(self, args: Tuple[Any, ...]) -> None:
+        ctx = multiprocessing.get_context("spawn")
+        child_requests, self.requests = ctx.Pipe(duplex=False)
+        self.replies, child_replies = ctx.Pipe(duplex=False)
+        self.process = ctx.Process(
+            target=worker.serve_channel, daemon=True,
+            args=(child_requests, child_replies) + args)
+        self.process.start()
+        child_requests.close()
+        child_replies.close()
+        self.seq = 0  # last frame sent; the worker's ready frame is 0
+
+    async def call(self, fn: Callable[[Any], Dict[str, Any]],
+                   body: Any) -> Dict[str, Any]:
+        """``fn(body)`` in the worker; EOF/OSError if it died."""
+        if self.seq == 0:
+            await self._reply()  # init_worker has finished
+        self.seq += 1
+        self.requests.send((self.seq, fn, body))
+        return await self._reply()
+
+    async def _reply(self) -> Dict[str, Any]:
+        loop = asyncio.get_running_loop()
+        ready: "asyncio.Future[None]" = loop.create_future()
+        fd = self.replies.fileno()
+        loop.add_reader(fd, _wake, ready)
+        try:
+            await ready
+        finally:
+            loop.remove_reader(fd)
+        frame: Tuple[int, Dict[str, Any]] = self.replies.recv()
+        seq, outcome = frame
+        if seq != self.seq:
+            raise OSError(f"worker answered frame {seq}, not {self.seq}")
+        return outcome
+
+    def close(self) -> None:
+        self.requests.close()
+        self.replies.close()
+
+
+def _wake(ready: "asyncio.Future[None]") -> None:
+    if not ready.done():  # fired twice before removal, or cancelled
+        ready.set_result(None)
+
+
 class MappingServer:
-    """The service: one asyncio acceptor + a process-pool worker tier.
+    """The service: one asyncio acceptor + N spawned worker processes.
 
     Parameters
     ----------
@@ -122,7 +166,7 @@ class MappingServer:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
     workers:
-        Process-pool width for the CPU-bound planning calls.
+        Worker processes for the CPU-bound planning calls.
     store_path:
         Optional path to the shared :class:`SolutionStore` every
         worker mounts as its L2 (the fleet-wide warm cache).
@@ -159,11 +203,13 @@ class MappingServer:
         self.store_path = store_path
         self.backend = backend
         self.cache_size = cache_size
+        self._worker_args = (store_path, backend, cache_size)
         self.fault_injection = bool(fault_injection)
         self.memo = _ResponseMemo(memo_size)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        self._idle: Optional["asyncio.Queue[_Channel]"] = None
+        self._retired: List[Any] = []  # processes left to join in stop()
+        self._connections: Set["asyncio.Task[None]"] = set()
         self._started = 0.0
         # counters (mutated on the event loop thread only)
         self.requests = 0
@@ -172,81 +218,70 @@ class MappingServer:
 
     # -- worker tier ---------------------------------------------------
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        # Spawned (not forked) workers: an asyncio parent with running
-        # threads must not fork, and spawn keeps worker state honest —
-        # each child imports repro fresh and builds its engine in
-        # init_worker, exactly like a separate fleet machine would.
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=worker.init_worker,
-            initargs=(self.store_path, self.backend, self.cache_size))
-
-    def _pool_or_new(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = self._new_pool()
-            return self._pool
-
-    def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Swap the broken pool for a fresh one (once per crash)."""
-        with self._pool_lock:
-            if self._pool is broken:
-                broken.shutdown(wait=False)
-                self._pool = self._new_pool()
-                self.worker_restarts += 1
-
     async def _dispatch(self, fn: Callable[[Any], Dict[str, Any]],
                         body: Any) -> Dict[str, Any]:
-        """Run one worker function on the pool; crash -> 503 payload."""
-        loop = asyncio.get_event_loop()
-        pool = self._pool_or_new()
+        """Run one worker function on an idle worker; crash -> 503."""
+        assert self._idle is not None, "start() the server first"
+        idle = self._idle
+        channel = await idle.get()
         try:
-            return await loop.run_in_executor(pool, fn, body)
-        except BrokenProcessPool:
-            self._replace_pool(pool)
+            if channel.requests.closed:  # retired: respawn it
+                channel = _Channel(self._worker_args)
+            return await channel.call(fn, body)
+        except (EOFError, OSError):
+            self._retire(channel)
+            self.worker_restarts += 1
             return {"ok": False, "error": {
-                "type": "WorkerCrashed", "status": 503,
-                "message": "a worker process died mid-request; the "
-                           "worker pool has been rebuilt — retry the "
-                           "request"}}
+                "type": "WorkerCrashed", "status": 503, "message":
+                "a worker process died mid-request and is respawned; retry"}}
+        except asyncio.CancelledError:
+            # The reply still owed would answer the wrong request.
+            self._retire(channel)
+            raise
+        finally:
+            idle.put_nowait(channel)
+
+    def _retire(self, channel: _Channel) -> None:
+        """Close a worker's pipes; it exits on EOF and is joined in stop()."""
+        channel.close()
+        self._retired = [p for p in self._retired if p.is_alive()]
+        self._retired.append(channel.process)
 
     # -- HTTP plumbing -------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and warm the worker pool."""
-        self._pool_or_new()
+        """Bind the socket and spawn the workers."""
+        self._idle = asyncio.Queue()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
-        sockets = self._server.sockets or ()
-        for sock in sockets:
-            self.port = sock.getsockname()[1]
-            break
+        for _ in range(self.workers):
+            self._idle.put_nowait(_Channel(self._worker_args))
+        self.port = self._server.sockets[0].getsockname()[1]
         self._started = time.monotonic()
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        await self._server.serve_forever()
-
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        with self._pool_lock:
-            if self._pool is not None:
-                # Wait for in-flight worker calls: orphaned workers
-                # outliving stop() would race external teardown (e.g.
-                # a store directory being deleted out from under them).
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        """Stop accepting, drain in-flight calls, then join the workers."""
+        if self._server is None or self._idle is None:
+            return
+        self._server.close()
+        channels = [await self._idle.get() for _ in range(self.workers)]
+        for task in list(self._connections):
+            task.cancel()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._server.wait_closed()
+        self._server = None
+        for channel in channels:
+            channel.close()  # EOF: each worker exits after its last call
+        for process in self._retired + [c.process for c in channels]:
+            process.join()
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         """One keep-alive connection: serve requests until close/EOF."""
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
         try:
             while True:
                 keep_alive = await self._handle_one(reader, writer)
@@ -263,8 +298,8 @@ class MappingServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                pass  # stop() may cancel a handler already closing
 
     async def _handle_one(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> bool:
@@ -273,27 +308,22 @@ class MappingServer:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
             if exc.partial:
-                await self._send(writer, 400, {"error": {
-                    "type": "ProtocolError", "status": 400,
-                    "message": "truncated HTTP request head"}})
+                await self._send(writer, *_error(
+                    400, "ProtocolError", "truncated HTTP request head"))
             return False
         if len(head) > MAX_HEADER_BYTES:
-            await self._send(writer, 400, {"error": {
-                "type": "ProtocolError", "status": 400,
-                "message": "request head too large"}})
+            await self._send(writer, *_error(400, "ProtocolError",
+                                             "request head too large"))
             return False
         try:
             method, path, headers = self._parse_head(head)
         except ValueError as exc:
-            await self._send(writer, 400, {"error": {
-                "type": "ProtocolError", "status": 400,
-                "message": str(exc)}})
+            await self._send(writer, *_error(400, "ProtocolError", str(exc)))
             return False
         length = int(headers.get("content-length", "0") or "0")
         if length > MAX_BODY_BYTES:
-            await self._send(writer, 413, {"error": {
-                "type": "ProtocolError", "status": 413,
-                "message": f"body exceeds {MAX_BODY_BYTES} bytes"}})
+            await self._send(writer, *_error(
+                413, "ProtocolError", f"body exceeds {MAX_BODY_BYTES} bytes"))
             return False
         raw_body = await reader.readexactly(length) if length else b""
         keep_alive = headers.get("connection", "keep-alive") != "close"
@@ -308,11 +338,7 @@ class MappingServer:
 
     @staticmethod
     def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:
-        try:
-            text = head.decode("latin-1")
-        except UnicodeDecodeError:  # pragma: no cover - latin-1 total
-            raise ValueError("undecodable request head") from None
-        lines = text.split("\r\n")
+        lines = head.decode("latin-1").split("\r\n")  # latin-1 is total
         parts = lines[0].split(" ")
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise ValueError(f"malformed request line: {lines[0]!r}")
@@ -328,40 +354,27 @@ class MappingServer:
         return method, path, headers
 
     async def _route(self, method: str, path: str, raw_body: bytes
-                     ) -> Tuple[int, Optional[Dict[str, Any]],
-                                Optional[bytes]]:
-        """Resolve one request to ``(status, payload, preserialized)``."""
-        if path == "/v1/healthz":
-            if method != "GET":
-                return 405, self._method_error("GET"), None
-            return 200, self._healthz(), None
-        if path == "/v1/stats":
-            if method != "GET":
-                return 405, self._method_error("GET"), None
-            return await self._stats()
-        if path == "/v1/_crash_worker":
-            if not self.fault_injection:
-                return 404, self._not_found(path), None
-            if method != "POST":
-                return 405, self._method_error("POST"), None
-            outcome = await self._dispatch(worker.crash, None)
-            # The only non-crash way out is a pool that died (ok=False
-            # with WorkerCrashed) — which is exactly the point.
-            error = outcome.get("error", {"type": "WorkerCrashed",
-                                          "status": 503,
-                                          "message": "worker killed"})
-            return int(error.get("status", 503)), {"error": error}, None
+                     ) -> _Answer:
+        """Resolve one request to its answer."""
         fn = self.ROUTES.get(path)
+        if path == "/v1/_crash_worker" and self.fault_injection:
+            fn = worker.crash  # its only answer is WorkerCrashed
+        if path in ("/v1/healthz", "/v1/stats"):
+            if method != "GET":
+                return _error(405, "MethodNotAllowed", "use GET")
+            if path == "/v1/stats":
+                return await self._stats()
+            return 200, self._healthz(), None
         if fn is None:
-            return 404, self._not_found(path), None
+            known = ", ".join(sorted(list(self.ROUTES)
+                                     + ["/v1/healthz", "/v1/stats"]))
+            return _error(404, "NotFound", f"no route {path}; known: {known}")
         if method != "POST":
-            return 405, self._method_error("POST"), None
+            return _error(405, "MethodNotAllowed", "use POST")
         try:
             body = json.loads(raw_body.decode("utf-8")) if raw_body else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, {"error": {"type": "ProtocolError", "status": 400,
-                                   "message": f"invalid JSON body: {exc}"}
-                         }, None
+            return _error(400, "ProtocolError", f"invalid JSON body: {exc}")
         memo_key = _ResponseMemo.key_for(path, body)
         hit = self.memo.get(memo_key)
         if hit is not None:
@@ -386,8 +399,7 @@ class MappingServer:
                 "store": self.store_path,
                 "backend": self.backend}
 
-    async def _stats(self) -> Tuple[int, Optional[Dict[str, Any]],
-                                    Optional[bytes]]:
+    async def _stats(self) -> _Answer:
         outcome = await self._dispatch(worker.run_stats, None)
         engine_stats = outcome.get("result") if outcome.get("ok") else None
         payload = {
@@ -403,18 +415,6 @@ class MappingServer:
         }
         return 200, payload, None
 
-    @staticmethod
-    def _not_found(path: str) -> Dict[str, Any]:
-        known = ", ".join(sorted(list(MappingServer.ROUTES)
-                                 + ["/v1/healthz", "/v1/stats"]))
-        return {"error": {"type": "NotFound", "status": 404,
-                          "message": f"no route {path}; known: {known}"}}
-
-    @staticmethod
-    def _method_error(allowed: str) -> Dict[str, Any]:
-        return {"error": {"type": "MethodNotAllowed", "status": 405,
-                          "message": f"use {allowed}"}}
-
     async def _send(self, writer: asyncio.StreamWriter, status: int,
                     payload: Optional[Dict[str, Any]],
                     preserialized: Optional[bytes] = None, *,
@@ -429,6 +429,11 @@ class MappingServer:
                 f"Connection: {connection}\r\n\r\n")
         writer.write(head.encode("latin-1") + body)
         await writer.drain()
+
+
+def _error(status: int, kind: str, message: str) -> _Answer:
+    return status, {"error": {"type": kind, "status": status,
+                              "message": message}}, None
 
 
 def _serialize(payload: Any) -> bytes:
@@ -482,14 +487,6 @@ class ServerThread:
             return
         self._ready.set()
         self._loop.run_forever()
-        # Drain: cancel still-open keep-alive connections before the
-        # loop closes, so their handlers unwind inside a live loop.
-        pending = asyncio.all_tasks(self._loop)
-        for task in pending:
-            task.cancel()
-        if pending:
-            self._loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True))
         self._loop.run_until_complete(self.server.stop())
         self._loop.close()
 
@@ -529,18 +526,19 @@ def serve(host: str = "127.0.0.1", port: int = 8080, *,
                            fault_injection=fault_injection)
 
     async def _main() -> None:
-        await server.start()
-        print(f"serving on http://{server.host}:{server.port} "
-              f"({server.workers} workers, backend={server.backend}, "
-              f"store={server.store_path or 'none'})")
+        loop, main = asyncio.get_running_loop(), asyncio.current_task()
+        assert main is not None
+        for signum in (signal.SIGINT, signal.SIGTERM):  # cancel, then drain
+            loop.add_signal_handler(signum, main.cancel)
         try:
-            await server.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover - shutdown path
+            await server.start()
+            print(f"serving on http://{server.host}:{server.port} "
+                  f"({server.workers} workers, backend={server.backend}, "
+                  f"store={server.store_path or 'none'})")
+            await asyncio.Event().wait()
+        except asyncio.CancelledError:
             pass
         finally:
             await server.stop()
 
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
+    asyncio.run(_main())

@@ -1,5 +1,5 @@
 """CI smoke driver: boot the server, drive every endpoint, crash a
-worker, verify the pool recovers.  Exit 0 on success, 1 with a
+worker, verify the server recovers.  Exit 0 on success, 1 with a
 diagnosis otherwise.
 
 Run as ``python -m repro.server.smoke`` (stdlib client only — this is
@@ -119,7 +119,7 @@ def main() -> int:
 
         status, body = client.call(
             "POST", "/v1/map", {"request": dict(_REQ, tag="post-crash")})
-        _check("pool recovered after crash", status == 200
+        _check("serving again after crash", status == 200
                and body["solution"]["cycles"] == 504, f"{status} {body}")
 
         status, body = client.call("GET", "/v1/stats")

@@ -1,11 +1,11 @@
 """Worker-tier entry points for the mapping service.
 
-Each process in the server's ``ProcessPoolExecutor`` runs
-:func:`init_worker` once, building one :class:`MappingEngine` with the
-shared :class:`~repro.runtime.store.SolutionStore` mounted as its L2 —
-the store file is ``flock``-guarded, so a fleet of workers appending
-and compacting concurrently stays frame-intact (the PR's store bugfix
-is what makes this tier safe).
+Each worker process the server spawns runs :func:`serve_channel`: it
+calls :func:`init_worker` once, building one :class:`MappingEngine`
+with the shared :class:`~repro.runtime.store.SolutionStore` mounted as
+its L2 — the store file is ``flock``-guarded, so a fleet of workers
+appending and compacting concurrently stays frame-intact — and then
+answers ``(seq, fn, body)`` frames on its request pipe until EOF.
 
 Worker functions never raise across the process boundary: every
 entry point returns ``{"ok": True, "result": ...}`` or ``{"ok": False,
@@ -15,14 +15,15 @@ entry point returns ``{"ok": True, "result": ...}`` or ``{"ok": False,
 depend on exception *picklability* — ``DeadlineExceededError`` carries
 keyword-only partials (often numpy arrays) that a default pickle
 round-trip silently drops — so the contract is data out, never
-exceptions.  Only pool-level crashes (a worker process dying) surface
-as ``BrokenProcessPool`` in the parent, which the server maps to a 503
-and a pool rebuild.
+exceptions.  Only a worker process dying surfaces in the parent, as
+EOF on that worker's reply pipe, which the server maps to a 503 and a
+respawn of that one worker.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,9 +42,9 @@ from ..runtime.deadline import Deadline, DeadlineExceededError
 from ..runtime.retry import TransientError
 from ..runtime.store import SolutionStore
 
-__all__ = ["init_worker", "run_map", "run_map_batch", "run_network_sweep",
-           "run_chip_pareto", "run_stats", "crash", "status_for",
-           "error_payload"]
+__all__ = ["init_worker", "serve_channel", "run_map", "run_map_batch",
+           "run_network_sweep", "run_chip_pareto", "run_stats", "crash",
+           "status_for", "error_payload"]
 
 #: One engine per worker process, built by :func:`init_worker`.
 _ENGINE: Optional[MappingEngine] = None
@@ -51,12 +52,33 @@ _ENGINE: Optional[MappingEngine] = None
 
 def init_worker(store_path: Optional[str], backend: str,
                 cache_size: int) -> None:
-    """Pool initializer: build this worker's engine (+ shared L2)."""
+    """Build this worker's engine (+ shared L2), once per process."""
     global _ENGINE
     store = SolutionStore(store_path) if store_path else None
     _ENGINE = MappingEngine(cache_size=cache_size, backend=backend,
                             store=store)
     set_default_engine(_ENGINE)
+
+
+def serve_channel(requests: Any, replies: Any, store_path: Optional[str],
+                  backend: str, cache_size: int) -> None:
+    """A worker process's main loop over its two pipe connections.
+
+    Sends the ready frame ``(0, None)`` once the engine is built, then
+    answers each ``(seq, fn, body)`` request with ``(seq, fn(body))``
+    until the server closes the request pipe (EOF) or stops reading
+    replies.  SIGINT is ignored: a terminal's Ctrl-C reaches the whole
+    process group, and the server stops its workers itself.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    init_worker(store_path, backend, cache_size)
+    try:
+        replies.send((0, None))
+        while True:
+            seq, fn, body = requests.recv()
+            replies.send((seq, fn(body)))
+    except (EOFError, OSError):
+        pass
 
 
 def _engine() -> MappingEngine:
@@ -312,8 +334,8 @@ def crash(_body: Any = None) -> Dict[str, Any]:
     """Kill this worker process outright (fault-injection hook).
 
     ``os._exit`` skips every cleanup path — exactly the hard crash a
-    production fleet sees on OOM kills — so the parent observes a
-    ``BrokenProcessPool`` and must rebuild the tier.
+    production fleet sees on OOM kills — so the parent reads EOF on
+    this worker's reply pipe and must respawn it.
     """
     os._exit(17)
     return {"ok": True, "result": None}  # pragma: no cover - unreachable

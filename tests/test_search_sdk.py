@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import ConvLayer, PIMArray
+from repro import ConvLayer, PIMArray, compare_schemes, resnet18, vgg13
+from repro.networks.zoo import resnet18_full
 from repro.search import im2col_solution, sdk_solution
 from repro.search.sdk import sdk_cycles_for, sdk_window_for_duplication
 
@@ -104,3 +105,32 @@ class TestCyclesFor:
         layer = ConvLayer.square(224, 3, 64, 64)
         sol = sdk_solution(layer, PIMArray.square(512))
         assert sol.table_cell == "4x4x64x64"
+
+
+class TestStridedLayers:
+    """A strided layer keeps im2col: the duplicated window's stride-1
+    count (eq. 3) does not apply, so SDK must not raise there."""
+
+    STRIDED = ("conv1", "conv3_1", "conv3_down", "conv4_1", "conv4_down",
+               "conv5_1", "conv5_down")
+
+    def test_resnet18_full_strided_layers_map_as_im2col(self):
+        layers = {layer.name: layer for layer in resnet18_full()}
+        assert sorted(name for name, layer in layers.items()
+                      if layer.stride != 1) == sorted(self.STRIDED)
+        arr = PIMArray.square(512)
+        for name in self.STRIDED:
+            sol = sdk_solution(layers[name], arr)
+            assert sol.duplication == 1, name
+            assert sol.cycles == im2col_solution(layers[name], arr).cycles
+
+    def test_duplicated_window_on_strided_layer_is_none(self):
+        layer = ConvLayer.square(56, 3, 64, 128, stride=2, padding=1)
+        arr = PIMArray.square(512)
+        assert sdk_cycles_for(layer, arr, 2) is None
+        assert sdk_cycles_for(layer, arr, 1) is not None
+
+    def test_table1_sdk_totals_unchanged(self):
+        arr = PIMArray.square(512)
+        assert compare_schemes(resnet18(), arr)["sdk"].total_cycles == 7240
+        assert compare_schemes(vgg13(), arr)["sdk"].total_cycles == 114697

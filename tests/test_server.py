@@ -1,19 +1,26 @@
 """The asyncio HTTP front door (`repro.server`).
 
-Boots one real server (spawn-based worker pool + shared L2 store) per
-module over an ephemeral loopback port and drives it with the stdlib
+Boots one real server (spawned workers + shared L2 store) per module
+over an ephemeral loopback port and drives it with the stdlib
 ``http.client`` — no test doubles anywhere in the request path.  The
 overarching acceptance property: answers over the wire are
 *bit-identical* to the in-process engine, and every failure mode maps
 onto the documented status table (including a hard worker crash, which
-must yield a clean 503 and a transparently rebuilt pool).
+must yield a clean 503 and a transparently respawned worker).
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -228,18 +235,233 @@ class TestConcurrency:
             conn.close()
 
 
+class TestStridedSdk:
+    def test_stride2_sdk_map_answers_200(self, server):
+        envelope = {"layer": {"ifm": 56, "kernel": 3, "ic": 64, "oc": 128,
+                              "stride": 2, "padding": 1},
+                    "array": {"rows": 512, "cols": 512}, "scheme": "sdk"}
+        status, body = call(server, "POST", "/v1/map",
+                            {"request": envelope})
+        assert status == 200
+        oracle = MappingEngine(cache_size=0).map(
+            MappingRequest.from_dict(envelope)).to_dict()
+        assert body["solution"] == oracle["solution"]
+        im2col = MappingEngine(cache_size=0).map(MappingRequest.from_dict(
+            dict(envelope, scheme="im2col"))).to_dict()
+        assert body["solution"]["cycles"] == im2col["solution"]["cycles"]
+
+
+def worker_pids(server, calls=4):
+    """Engine pids seen over *calls* sequential ``/v1/stats`` requests
+    (idle workers are taken in FIFO order, so two calls visit two)."""
+    return {call(server, "GET", "/v1/stats")[1]["worker_engine"]["pid"]
+            for _ in range(calls)}
+
+
+#: A slow worker call: the VGG-16 pooled chip frontier (about 1 s cold).
+SLOW = ("/v1/chip_pareto", {"network": "vgg16", "pools": True})
+
+
+def send_raw(server, path, body):
+    """Send one POST on a raw socket and return the socket unread."""
+    payload = json.dumps(body).encode()
+    sock = socket.create_connection(server.address, timeout=120)
+    sock.sendall(b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d"
+                 b"\r\n\r\n%s" % (path.encode(), len(payload), payload))
+    return sock
+
+
+def slow_call_in_flight(handle):
+    """Start :data:`SLOW` on a warm worker; return its unread socket."""
+    call(handle, "GET", "/v1/stats")  # the worker is up and idle
+    sock = send_raw(handle, *SLOW)
+    deadline = time.monotonic() + 30.0
+    while handle.server.requests < 2:
+        assert time.monotonic() < deadline, "request never arrived"
+        time.sleep(0.01)
+    time.sleep(0.2)  # the slow call is now in the worker
+    return sock
+
+
+class TestWorkerChannel:
+    """The per-worker pipe channel: FIFO admission, crash isolation,
+    no reply ever delivered to the wrong request, and a quiet drain."""
+
+    def test_two_workers_under_16_threads(self, server):
+        layers = [dict(REQ, layer=dict(REQ["layer"], ifm=ifm),
+                       tag=f"channel-{ifm}") for ifm in range(20, 36)]
+        engine = MappingEngine(cache_size=0)
+        oracles = [engine.map(MappingRequest.from_dict(env)).to_dict()
+                   for env in layers]
+        results = [None] * 16
+        pids = set()
+
+        def client(slot):
+            results[slot] = call(server, "POST", "/v1/map",
+                                 {"request": layers[slot]})
+            pids.add(call(server, "GET", "/v1/stats")[1]
+                     ["worker_engine"]["pid"])
+
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for (status, body), oracle in zip(results, oracles):
+            assert status == 200
+            assert body["solution"] == oracle["solution"]
+        assert len(pids | worker_pids(server)) == 2
+
+    def test_crash_restarts_only_the_dead_worker(self):
+        with ServerThread(workers=2, backend="numpy",
+                          fault_injection=True) as handle:
+            before = worker_pids(handle)
+            assert len(before) == 2
+            assert call(handle, "POST", "/v1/_crash_worker", {})[0] == 503
+            after = worker_pids(handle)
+            assert len(after) == 2
+            assert len(before & after) == 1  # the survivor kept its pid
+            health = call(handle, "GET", "/v1/healthz")[1]
+            assert health["worker_restarts"] == 1
+
+    def test_dropped_connection_never_desyncs_the_next_answer(self):
+        with ServerThread(workers=1, backend="numpy") as handle:
+            sock = slow_call_in_flight(handle)
+            sock.close()
+            envelope = dict(REQ, tag="after-drop")
+            status, body = call(handle, "POST", "/v1/map",
+                                {"request": envelope})
+            assert status == 200
+            oracle = MappingEngine(cache_size=0).map(
+                MappingRequest.from_dict(envelope)).to_dict()
+            assert body["solution"] == oracle["solution"]
+            assert body["request"] == oracle["request"]
+
+    def test_cancelled_dispatch_never_desyncs_the_next_answer(self):
+        with ServerThread(workers=1, backend="numpy") as handle:
+            sock = slow_call_in_flight(handle)
+            loop, server = handle._loop, handle.server
+            loop.call_soon_threadsafe(
+                lambda: [task.cancel() for task in server._connections])
+            envelope = dict(REQ, tag="after-cancel")
+            status, body = call(handle, "POST", "/v1/map",
+                                {"request": envelope})
+            sock.close()
+            assert status == 200
+            oracle = MappingEngine(cache_size=0).map(
+                MappingRequest.from_dict(envelope)).to_dict()
+            assert body["solution"] == oracle["solution"]
+            assert body["request"] == oracle["request"]
+
+    def test_out_of_sequence_reply_is_a_crash(self):
+        import asyncio
+        import multiprocessing
+
+        from repro.server.app import _Channel
+        channel = _Channel.__new__(_Channel)  # a pipe, no worker
+        channel.replies, sender = multiprocessing.Pipe(duplex=False)
+        channel.seq = 2
+        sender.send((1, {"ok": True, "result": "a stale answer"}))
+        try:
+            with pytest.raises(OSError, match="frame 1, not 2"):
+                asyncio.run(channel._reply())
+        finally:
+            sender.close()
+            channel.replies.close()
+
+    def test_stop_with_in_flight_request_drains_quietly(self, capfd,
+                                                        caplog):
+        handle = ServerThread(workers=1, backend="numpy").start()
+        sock = slow_call_in_flight(handle)
+        handle.stop()
+        assert not handle._thread.is_alive()
+        # Drain: the in-flight call finished and was answered.
+        reply = b""
+        while True:
+            chunk = sock.recv(1 << 16)
+            if not chunk:
+                break
+            reply += chunk
+        sock.close()
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert "Traceback" not in capfd.readouterr().err
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+    def test_stop_as_clients_hang_up_is_quiet(self, capfd, caplog):
+        """Handlers still closing their connections when stop() cancels
+        them must finish quietly too."""
+        handle = ServerThread(workers=1, backend="numpy").start()
+        conns = []
+        for _ in range(8):
+            conn = http.client.HTTPConnection(*handle.address, timeout=120)
+            conn.request("GET", "/v1/healthz")
+            conn.getresponse().read()
+            conns.append(conn)
+        for conn in conns:
+            conn.close()
+        handle.stop()
+        assert not handle._thread.is_alive()
+        assert "Traceback" not in capfd.readouterr().err
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="lists child processes through /proc")
+def test_sigterm_stops_cleanly_with_no_children_left():
+    def children(pid):
+        kids = []
+        for task in os.listdir(f"/proc/{pid}/task"):
+            with open(f"/proc/{pid}/task/{task}/children") as handle:
+                kids += [int(k) for k in handle.read().split()]
+        return kids
+
+    def alive(pid):  # a zombie nobody reaped yet counts as gone
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except (OSError, IndexError):
+            return False
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "2"], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    try:
+        assert b"serving on http://" in proc.stdout.readline()
+        kids = children(proc.pid)
+        assert len(kids) >= 2  # the workers (+ the resource tracker)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+        time.sleep(2.0)
+        assert [k for k in kids if alive(k)] == []
+        assert b"Traceback" not in proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
 class TestWorkerCrash:
-    """Satellite: a crashed worker yields a clean 5xx + recovered pool.
+    """A crashed worker yields a clean 5xx + a respawned worker.
 
     Runs last in the module — the crash bumps ``worker_restarts`` and
-    briefly costs pool rebuild time.
+    briefly costs a worker respawn.
     """
 
     def test_crash_yields_503_then_recovers(self, server):
         status, body = call(server, "POST", "/v1/_crash_worker", {})
         assert status == 503
         assert body["error"]["type"] == "WorkerCrashed"
-        # The very next request must ride the rebuilt pool.
+        # The very next request must ride a live (or respawned) worker.
         status, body = call(server, "POST", "/v1/map",
                             {"request": dict(REQ, tag="post-crash")})
         assert status == 200
